@@ -298,6 +298,9 @@ struct WallMetric
     double minSeconds = 0.0;
     double elementsPerSecond = 0.0;
     double bytesPerSecond = 0.0;
+    /** Mean seconds; written to the JSON as `mean_s` only when set
+     * (>= 0). */
+    double meanSeconds = -1.0;
 };
 
 /**
@@ -349,11 +352,15 @@ writeBenchJson(const std::string &name,
         const WallMetric &m = metrics[i];
         std::fprintf(f,
                      "    {\"label\": \"%s\", \"reps\": %d, "
-                     "\"median_s\": %.9g, \"min_s\": %.9g, "
+                     "\"median_s\": %.9g, \"min_s\": %.9g, ",
+                     m.label.c_str(), m.reps, m.medianSeconds,
+                     m.minSeconds);
+        if (m.meanSeconds >= 0.0)
+            std::fprintf(f, "\"mean_s\": %.9g, ", m.meanSeconds);
+        std::fprintf(f,
                      "\"elements_per_s\": %.9g, "
                      "\"bytes_per_s\": %.9g}%s\n",
-                     m.label.c_str(), m.reps, m.medianSeconds,
-                     m.minSeconds, m.elementsPerSecond, m.bytesPerSecond,
+                     m.elementsPerSecond, m.bytesPerSecond,
                      i + 1 < metrics.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

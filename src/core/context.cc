@@ -11,7 +11,8 @@ SharedContext::SharedContext(Token, const rt::MachineConfig &machine)
       // actually runs parallel work, and sessions requesting more
       // workers reserve() it upward instead of spawning a pool each.
       pool_(std::make_shared<kir::WorkerPool>(1)),
-      batcher_(std::make_shared<kir::BatchCoalescer>(pool_))
+      batcher_(std::make_shared<kir::BatchCoalescer>(pool_)),
+      buffers_(std::make_shared<rt::BufferPool>())
 {
 }
 
@@ -30,7 +31,7 @@ SharedContext::createSession(const DiffuseOptions &options)
                       : envInt("DIFFUSE_SHARED_CACHE", 1, 0, 1) != 0;
     if (!shared) {
         // Opt-out: a fully isolated runtime, today's single-client
-        // behavior bit-for-bit (private caches, private pool).
+        // behavior bit-for-bit (private caches and pools).
         return std::make_unique<DiffuseRuntime>(machine_, options);
     }
     return std::unique_ptr<DiffuseRuntime>(

@@ -10,10 +10,12 @@
  * shard placement, statistics. Everything whose identity is the
  * *program shape* — compiled kernels and executable plans (the
  * JitCompiler), canonicalized fused-group plans (the Memoizer),
- * captured window epochs (the TraceCache), and the worker-thread pool
- * — lives here, behind sharded locks, so fusion analysis, kernel
- * compilation and trace capture are paid once per unique program
- * point *process-wide*, not once per session.
+ * captured window epochs (the TraceCache), the worker-thread pool,
+ * and the buffer-recycling pool for store allocations — lives here,
+ * behind sharded locks, so fusion analysis, kernel compilation and
+ * trace capture are paid once per unique program point
+ * *process-wide*, not once per session, and a buffer one session
+ * frees serves the next session's store of its size class.
  *
  * Sessions created through createSession() share this context;
  * constructing a DiffuseRuntime directly gives it a private context
@@ -51,6 +53,7 @@
 #include "kernel/compiler.h"
 #include "kernel/exec.h"
 #include "runtime/machine.h"
+#include "runtime/runtime.h"
 
 namespace diffuse {
 
@@ -60,7 +63,8 @@ class DiffuseRuntime;
 /**
  * Process-wide shared state for a set of runtime sessions: one
  * compiler, one memoizer, one trace cache, one single-task kernel
- * cache, one lazily-started worker pool. Thread-safe throughout;
+ * cache, one lazily-started worker pool, one buffer-recycling pool.
+ * Thread-safe throughout;
  * always held by shared_ptr (sessions keep their context alive).
  */
 class SharedContext
@@ -121,6 +125,23 @@ class SharedContext
     }
 
     /**
+     * The buffer-recycling pool every sharing session allocates store
+     * memory from (rt::BufferPool). A DIFFUSE_SHARED_CACHE=0 session
+     * has a private context, so it shares no buffers either.
+     */
+    const std::shared_ptr<rt::BufferPool> &buffers() const
+    {
+        return buffers_;
+    }
+
+    /** Recycling counters: hits, misses, evictions, pooled, live and
+     * high-water bytes (one consistent snapshot). */
+    rt::BufferPoolStats bufferPoolStats() const
+    {
+        return buffers_->stats();
+    }
+
+    /**
      * Cross-session batch coalescer (DIFFUSE_BATCH): sessions of this
      * context concurrently replaying the same trace epoch gather
      * their identical point tasks into combined worker-pool jobs.
@@ -175,6 +196,7 @@ class SharedContext
     TraceCache traceCache_;
     std::shared_ptr<kir::WorkerPool> pool_;
     std::shared_ptr<kir::BatchCoalescer> batcher_;
+    std::shared_ptr<rt::BufferPool> buffers_;
     std::array<SingleShard, kSingleShards> singles_;
     std::atomic<std::size_t> singleCount_{0};
     std::atomic<std::uint64_t> sessions_{0};

@@ -35,7 +35,7 @@ DiffuseRuntime::DiffuseRuntime(std::shared_ptr<SharedContext> shared,
     : ctx_(std::move(shared)),
       options_(options),
       low_(ctx_->machine(), options.mode, options.workers,
-           options.ranks, ctx_->pool()),
+           options.ranks, ctx_->pool(), ctx_->buffers()),
       planner_(registry_, ctx_->compiler(), stores_,
                PlannerOptions{options.tempElimination,
                               options.kernelOptimization}),

@@ -401,7 +401,7 @@ class DiffuseRuntime
      * the accessor reads store state. */
     void traceOnHostWrite(StoreId id);
 
-    /** Shared (or private) caches + pool. Declared first: low_ and
+    /** Shared (or private) caches + pools. Declared first: low_ and
      * planner_ borrow from it during construction. */
     std::shared_ptr<SharedContext> ctx_;
     DiffuseOptions options_;

@@ -50,10 +50,109 @@ crossPointOverlap(const std::vector<Rect> &a, const std::vector<Rect> &b)
 
 } // namespace
 
+std::size_t
+BufferPool::classBytes(std::size_t bytes)
+{
+    constexpr std::size_t kFine = 64;
+    constexpr std::size_t kFineLimit = 4096;
+    if (bytes <= kFineLimit)
+        return (bytes + kFine - 1) / kFine * kFine;
+    // Four classes per power of two: steps of a quarter of the
+    // largest power of two below `bytes`.
+    std::size_t pow2 = kFineLimit;
+    while (pow2 * 2 < bytes)
+        pow2 *= 2;
+    std::size_t step = pow2 / 4;
+    return (bytes + step - 1) / step * step;
+}
+
+BufferPool::Bytes
+BufferPool::take(std::size_t cls)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = byClass_.find(cls);
+    if (it == byClass_.end() || it->second.empty()) {
+        stats_.misses++;
+        return nullptr;
+    }
+    auto entry = it->second.back();
+    it->second.pop_back();
+    Bytes p = std::move(entry->p);
+    lru_.erase(entry);
+    stats_.hits++;
+    stats_.pooledBytes -= cls;
+    noteLive(cls);
+    return p;
+}
+
+BufferPool::Bytes
+BufferPool::allocate(std::size_t cls)
+{
+    Bytes p(new std::byte[cls]);
+    std::lock_guard<std::mutex> lock(mutex_);
+    noteLive(cls);
+    return p;
+}
+
+void
+BufferPool::noteLive(std::size_t cls)
+{
+    stats_.liveBytes += cls;
+    stats_.highWaterBytes =
+        std::max(stats_.highWaterBytes, stats_.liveBytes);
+}
+
+void
+BufferPool::release(Bytes p, std::size_t cls)
+{
+    std::vector<Bytes> evicted;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stats_.liveBytes -= cls;
+        stats_.pooledBytes += cls;
+        byClass_[cls].push_back(lru_.insert(lru_.end(),
+                                            Entry{std::move(p), cls}));
+        // The buffer just pooled is the newest and fits on its own
+        // (it was live, so cls <= high water): only older ones go.
+        while (stats_.pooledBytes > stats_.highWaterBytes) {
+            Entry &oldest = lru_.front();
+            byClass_[oldest.cls].pop_front();
+            stats_.pooledBytes -= oldest.cls;
+            stats_.evictions++;
+            evicted.push_back(std::move(oldest.p));
+            lru_.pop_front();
+        }
+    }
+    // `evicted` frees here, outside the mutex.
+}
+
+std::size_t
+BufferPool::evictAll()
+{
+    std::list<Entry> evicted;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        evicted.swap(lru_);
+        byClass_.clear();
+        stats_.pooledBytes = 0;
+        stats_.evictions += evicted.size();
+    }
+    return evicted.size();
+}
+
+BufferPoolStats
+BufferPool::stats() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
+}
+
 LowRuntime::LowRuntime(const MachineConfig &machine, ExecutionMode mode,
                        int workers, int ranks,
-                       std::shared_ptr<kir::WorkerPool> shared_pool)
+                       std::shared_ptr<kir::WorkerPool> shared_pool,
+                       std::shared_ptr<BufferPool> shared_buffers)
     : machine_(machine), mode_(mode),
+      buffers_(std::move(shared_buffers)),
       // Simulated mode never runs point tasks: no worker threads.
       workers_(mode == ExecutionMode::Simulated
                    ? 1
@@ -66,6 +165,8 @@ LowRuntime::LowRuntime(const MachineConfig &machine, ExecutionMode mode,
               ranks > 0 ? ranks : envInt("DIFFUSE_RANKS", 1, 1, 4096)),
       stream_(machine)
 {
+    if (buffers_ == nullptr)
+        buffers_ = std::make_shared<BufferPool>();
     if (pool_ == nullptr)
         pool_ = std::make_shared<kir::WorkerPool>(workers_);
     else
@@ -81,6 +182,12 @@ LowRuntime::LowRuntime(const MachineConfig &machine, ExecutionMode mode,
     memBudgetBytes_ =
         std::size_t(envInt("DIFFUSE_MEM_BUDGET", 0, 1, 1 << 20)) << 20;
     chunkOverride_ = envInt("DIFFUSE_CHUNK", 0, 0, 1 << 20);
+}
+
+LowRuntime::~LowRuntime()
+{
+    for (auto &[id, store] : stores_)
+        recycleAllocation(store);
 }
 
 StoreId
@@ -115,15 +222,10 @@ LowRuntime::recycleAllocation(StoreRec &store)
 {
     if (store.data.empty())
         return;
-    std::size_t bytes = store.data.size();
-    liveBytes_ -= bytes;
-    if (pooledBytes_ + bytes <= kMaxPooledBytes) {
-        pooledBytes_ += bytes;
-        bufferPool_[bytes].push_back(std::move(store.data));
-    }
-    // Pool full: free eagerly. Either way the store ends up with no
-    // allocation (a moved-from RawBuffer keeps its stale size, so a
-    // reset is required for callers that keep the StoreRec alive).
+    liveBytes_ -= store.data.cap;
+    buffers_->release(std::move(store.data.p), store.data.cap);
+    // A moved-from RawBuffer keeps its stale sizes: reset it for
+    // callers that keep the StoreRec alive.
     store.data = RawBuffer();
 }
 
@@ -134,39 +236,37 @@ LowRuntime::ensureAllocated(StoreRec &store, bool skip_init)
         return;
     std::size_t n = std::size_t(store.shape.volume());
     std::size_t bytes = n * dtypeSize(store.dtype);
+    std::size_t cls = BufferPool::classBytes(bytes);
     if (faults_.enabled() && faults_.shouldFault(FaultKind::Alloc))
         throw DiffuseError(makeError(ErrorCode::AllocFailed,
                                      "injected allocation fault"));
-    auto pooled = bufferPool_.find(bytes);
-    if (pooled != bufferPool_.end() && !pooled->second.empty()) {
-        // Reuse transfers pooled -> live: total memory is unchanged,
-        // so the budget needs no check.
-        store.data = std::move(pooled->second.back());
-        pooled->second.pop_back();
-        pooledBytes_ -= bytes;
-    } else {
+    // A hit transfers pooled -> live: total memory is unchanged, so
+    // the budget needs no check.
+    BufferPool::Bytes p = buffers_->take(cls);
+    if (p == nullptr) {
         if (memBudgetBytes_ != 0 &&
-            liveBytes_ + pooledBytes_ + bytes > memBudgetBytes_) {
+            liveBytes_ + buffers_->stats().pooledBytes + cls >
+                memBudgetBytes_) {
             // Memory pressure: drop the recycling pool (warm-page
             // reuse is a luxury) before giving up; only if live
             // allocations alone still exceed the budget does the
             // allocation fail — structurally, not as an OOM abort.
-            for (const auto &[sz, bufs] : bufferPool_)
-                faultStats_.budgetEvictions += bufs.size();
-            bufferPool_.clear();
-            pooledBytes_ = 0;
-            if (liveBytes_ + bytes > memBudgetBytes_)
+            faultStats_.budgetEvictions += buffers_->evictAll();
+            if (liveBytes_ + cls > memBudgetBytes_)
                 throw DiffuseError(makeError(
                     ErrorCode::MemBudgetExceeded,
                     strprintf("allocation of %zu bytes would exceed "
                               "DIFFUSE_MEM_BUDGET (%zu live of %zu)",
-                              bytes, liveBytes_, memBudgetBytes_)));
+                              cls, liveBytes_, memBudgetBytes_)));
         }
-        store.data.alloc(bytes);
+        p = buffers_->allocate(cls);
     }
-    liveBytes_ += bytes;
+    store.data.p = std::move(p);
+    store.data.n = bytes;
+    store.data.cap = cls;
+    liveBytes_ += cls;
     stats_.storesMaterialized++;
-    stats_.bytesMaterialized += double(store.data.size());
+    stats_.bytesMaterialized += double(bytes);
     if (skip_init)
         return;
     switch (store.dtype) {

@@ -36,8 +36,11 @@
 #define DIFFUSE_RUNTIME_RUNTIME_H
 
 #include <cstddef>
+#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -163,6 +166,83 @@ struct RecordedSubmission
     SubmitStatsDelta stats;
 };
 
+/** Counters of a BufferPool: one consistent snapshot. */
+struct BufferPoolStats
+{
+    /** Allocations served by a pooled buffer of their size class. */
+    std::uint64_t hits = 0;
+    /** Allocations that found no pooled buffer and allocated fresh. */
+    std::uint64_t misses = 0;
+    /** Pooled buffers freed: by the high-water bound or under
+     * DIFFUSE_MEM_BUDGET pressure. */
+    std::uint64_t evictions = 0;
+    /** Bytes held by pooled (free, recyclable) buffers. */
+    std::size_t pooledBytes = 0;
+    /** Bytes held by live store allocations (class capacity). */
+    std::size_t liveBytes = 0;
+    /** Peak of liveBytes; pooledBytes never exceeds it. */
+    std::size_t highWaterBytes = 0;
+};
+
+/**
+ * Recycles Real-mode store allocations across every session of one
+ * SharedContext. Iterative apps and short serving requests create and
+ * destroy similar stores all the time; handing a freed buffer to the
+ * next store of its size class reuses warm, already-faulted pages and
+ * keeps the executor off the kernel's page-fault path.
+ *
+ * Allocations are rounded up to a geometric size class (64 B steps up
+ * to 4 KiB, then 4 classes per power of two: slack under 25%), so a
+ * freed buffer serves any store of its class, not just its exact size.
+ * The pool sizes itself: pooled bytes never exceed the high-water mark
+ * of live bytes, and the oldest pooled buffers are evicted first.
+ * Thread-safe; buffers are allocated and freed outside the mutex.
+ */
+class BufferPool
+{
+  public:
+    using Bytes = std::unique_ptr<std::byte[]>;
+
+    /** Capacity class (bytes actually allocated) for `bytes`. */
+    static std::size_t classBytes(std::size_t bytes);
+
+    /** Take the most recently pooled buffer of class `cls` (a hit; it
+     * becomes live), or return null (a miss). */
+    Bytes take(std::size_t cls);
+
+    /** Allocate a fresh live buffer of class `cls` (after a miss). */
+    Bytes allocate(std::size_t cls);
+
+    /** A live buffer of class `cls` is released: pool it, evicting
+     * the oldest pooled buffers beyond the high-water bound. */
+    void release(Bytes p, std::size_t cls);
+
+    /** Free every pooled buffer (memory pressure); returns how many. */
+    std::size_t evictAll();
+
+    BufferPoolStats stats() const;
+
+  private:
+    struct Entry
+    {
+        Bytes p;
+        std::size_t cls = 0;
+    };
+
+    /** `cls` more bytes went live (caller holds the mutex). */
+    void noteLive(std::size_t cls);
+
+    mutable std::mutex mutex_;
+    /** Pooled buffers, oldest release first (eviction order). */
+    std::list<Entry> lru_;
+    /** Per class, the pooled buffers in release order: take() pops
+     * the back (warmest), eviction the front (oldest overall). */
+    std::unordered_map<std::size_t,
+                       std::deque<std::list<Entry>::iterator>>
+        byClass_;
+    BufferPoolStats stats_;
+};
+
 /** Pieces of an image partition, registered by libraries. */
 struct ImageData
 {
@@ -198,10 +278,19 @@ class LowRuntime
      *        runtime's sharding decisions and per-slot scratch keep
      *        using its own `workers` — behavior is identical to a
      *        private pool of that size.
+     * @param shared_buffers Buffer-recycling pool for store
+     *        allocations. Null constructs a private one; sessions of
+     *        a SharedContext pass the context's, so a buffer one
+     *        session frees can serve another session's next store.
      */
     LowRuntime(const MachineConfig &machine, ExecutionMode mode,
                int workers = 0, int ranks = 0,
-               std::shared_ptr<kir::WorkerPool> shared_pool = nullptr);
+               std::shared_ptr<kir::WorkerPool> shared_pool = nullptr,
+               std::shared_ptr<BufferPool> shared_buffers = nullptr);
+
+    /** Returns every remaining store allocation to the buffer pool
+     * (the stream never executes anything after destruction). */
+    ~LowRuntime();
 
     /**
      * Create a store. In Real mode the allocation is host memory
@@ -422,26 +511,22 @@ class LowRuntime
 
   private:
     /**
-     * A store allocation. Unlike std::vector, alloc() leaves memory
+     * A store allocation. Unlike std::vector, the memory comes
      * uninitialized, so a store whose first use is a fully-covering
      * write never pays an init pass (the kernel overwrites every
      * element anyway).
      */
     struct RawBuffer
     {
-        std::unique_ptr<std::byte[]> p;
+        BufferPool::Bytes p;
+        /** Logical bytes (the store's volume times its dtype size). */
         std::size_t n = 0;
+        /** Allocated bytes: the size class of `n`. */
+        std::size_t cap = 0;
 
         bool empty() const { return n == 0; }
-        std::size_t size() const { return n; }
         std::byte *data() { return p.get(); }
         const std::byte *data() const { return p.get(); }
-        void
-        alloc(std::size_t bytes)
-        {
-            p.reset(new std::byte[bytes]);
-            n = bytes;
-        }
     };
 
     struct StoreRec
@@ -544,7 +629,7 @@ class LowRuntime
 
     /** Return a destroyed store's allocation to the recycling pool.
      * Always leaves `store.data` empty and updates the live-byte
-     * accounting (buffers the pool declines are freed eagerly). */
+     * accounting. */
     void recycleAllocation(StoreRec &store);
 
     /** Stream fail fn: poison the failed task's outputs, record the
@@ -560,21 +645,20 @@ class LowRuntime
     RuntimeStats stats_;
     std::unordered_map<StoreId, StoreRec> stores_;
     /**
-     * Recycled allocations keyed by byte size. Iterative apps create
-     * and destroy same-shaped stores every step; reusing their warm,
-     * already-faulted pages keeps the executor off the kernel's
-     * page-fault path. Bounded by kMaxPooledBytes (beyond that,
-     * buffers free eagerly).
+     * Recycled allocations, by size class. Shared by every session of
+     * a SharedContext (private for a directly constructed runtime or
+     * a DIFFUSE_SHARED_CACHE=0 session) and bounded by the context's
+     * high-water mark of live store bytes; see BufferPool.
      */
-    std::unordered_map<std::size_t, std::vector<RawBuffer>> bufferPool_;
-    std::size_t pooledBytes_ = 0;
-    static constexpr std::size_t kMaxPooledBytes = 256u << 20;
-    /** Bytes currently held by store allocations (canonical buffers;
-     * shard buffers are the ShardManager's). */
+    std::shared_ptr<BufferPool> buffers_;
+    /** Class bytes currently held by this runtime's store allocations
+     * (canonical buffers; shard buffers are the ShardManager's). */
     std::size_t liveBytes_ = 0;
     /** DIFFUSE_MEM_BUDGET in bytes; 0 = unlimited. Fresh allocations
-     * that would exceed it first evict the recycling pool, then fail
-     * with a structured MemBudgetExceeded instead of OOM-aborting. */
+     * that would push this runtime's live bytes plus the pool's bytes
+     * past it first evict the (possibly shared) recycling pool, then
+     * fail with a structured MemBudgetExceeded instead of
+     * OOM-aborting. */
     std::size_t memBudgetBytes_ = 0;
     /** Destroyed-but-in-flight stores still held in stores_. */
     std::size_t zombies_ = 0;

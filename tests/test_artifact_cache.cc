@@ -383,6 +383,10 @@ TEST(ArtifactCache, SecondSharedContextWarmStartsFromDisk)
 
     DiffuseOptions opts;
     opts.mode = rt::ExecutionMode::Real;
+    // The stats read below are the context's: pin sharing on so the
+    // DIFFUSE_SHARED_CACHE=0 matrix row cannot hand out sessions with
+    // private contexts.
+    opts.sharedCache = 1;
 
     // Oracle: the identical program with the JIT off.
     opts.jit = 0;

@@ -559,11 +559,11 @@ TEST(Faults, MemBudgetEvictsPoolThenFailsStructurally)
             (void)ctx.toHost(a);
         }
         rt.flushWindow();
-        // A differently-sized ~776 KB allocation cannot pool-hit and
-        // does not fit next to the pooled bytes: the pool is evicted
-        // (warm pages are a luxury under pressure) and the allocation
-        // then succeeds.
-        NDArray b = ctx.zeros(97000, 2.0);
+        // A ~469 KB allocation (512 KiB size class, not the pooled
+        // 768 KiB one) cannot pool-hit and does not fit next to the
+        // pooled bytes: the pool is evicted (warm pages are a luxury
+        // under pressure) and the allocation then succeeds.
+        NDArray b = ctx.zeros(60000, 2.0);
         (void)ctx.toHost(b);
         EXPECT_FALSE(rt.failed());
         EXPECT_GT(rt.low().faultStats().budgetEvictions, 0u);
@@ -582,7 +582,7 @@ TEST(Faults, MemBudgetEvictsPoolThenFailsStructurally)
         }
         EXPECT_TRUE(threw);
         EXPECT_FALSE(rt.failed());
-        EXPECT_EQ(ctx.toHost(b), std::vector<double>(97000, 2.0));
+        EXPECT_EQ(ctx.toHost(b), std::vector<double>(60000, 2.0));
     }
     unsetenv("DIFFUSE_MEM_BUDGET");
 }
