@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -301,6 +302,9 @@ struct WallMetric
     /** Mean seconds; written to the JSON as `mean_s` only when set
      * (>= 0). */
     double meanSeconds = -1.0;
+    /** Named counts and ratios that are not rates; written to the
+     * JSON as `counters` only when non-empty. */
+    std::map<std::string, double> counters;
 };
 
 /**
@@ -357,6 +361,15 @@ writeBenchJson(const std::string &name,
                      m.minSeconds);
         if (m.meanSeconds >= 0.0)
             std::fprintf(f, "\"mean_s\": %.9g, ", m.meanSeconds);
+        if (!m.counters.empty()) {
+            std::fprintf(f, "\"counters\": {");
+            const char *sep = "";
+            for (const auto &[key, value] : m.counters) {
+                std::fprintf(f, "%s\"%s\": %.9g", sep, key.c_str(), value);
+                sep = ", ";
+            }
+            std::fprintf(f, "}, ");
+        }
         std::fprintf(f,
                      "\"elements_per_s\": %.9g, "
                      "\"bytes_per_s\": %.9g}%s\n",

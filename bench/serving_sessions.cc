@@ -27,9 +27,9 @@
  *     sessions concurrently replaying the same trace epochs, batched
  *     against the unbatched oracle, with the coalescer's occupancy
  *     (sessions per combined job) and saved worker-pool hand-offs
- *     reported (`batch:counters` — reps carries the batch count,
- *     elements_per_s the mean occupancy, bytes_per_s the hand-offs
- *     saved);
+ *     reported (`batch:counters`, a row with no timings whose
+ *     `counters` map holds batches, occupancy, max_occupancy,
+ *     handoffs_saved and timeouts);
  *  5. native JIT artifact cache (DIFFUSE_JIT + DIFFUSE_CACHE_DIR,
  *     kernel/codegen.h): cold vs warm *process* bring-up, modelled as
  *     two fresh SharedContexts over one cache directory — the warm
@@ -358,9 +358,13 @@ main()
         metrics.push_back(walls[1]);
         WallMetric counters;
         counters.label = "batch:counters";
-        counters.reps = int(batched_stats.batches);
-        counters.elementsPerSecond = occupancy;
-        counters.bytesPerSecond = double(batched_stats.handoffsSaved);
+        counters.counters = {
+            {"batches", double(batched_stats.batches)},
+            {"occupancy", occupancy},
+            {"max_occupancy", double(batched_stats.maxOccupancy)},
+            {"handoffs_saved", double(batched_stats.handoffsSaved)},
+            {"timeouts", double(batched_stats.timeouts)},
+        };
         metrics.push_back(counters);
     }
 

@@ -629,14 +629,27 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
 
     // Fold reduction lanes in element order: the combine sequence is
     // exactly the scalar interpreter's, so results are bit-identical
-    // at every strip width.
+    // at every strip width. One loop per op, each with
+    // applyReduction's expression, keeps the switch out of the loop.
     if (partials != nullptr) {
         for (std::size_t r = 0; r < dp.reductions.size(); r++) {
             const Reduction &red = dp.reductions[r];
             const double *s = vr + std::size_t(red.srcReg) * w;
             double p = partials[r];
-            for (int k = 0; k < len; k++)
-                p = applyReduction(red.op, p, s[k]);
+            switch (red.op) {
+              case ReductionOp::Sum:
+                for (int k = 0; k < len; k++)
+                    p = p + s[k];
+                break;
+              case ReductionOp::Max:
+                for (int k = 0; k < len; k++)
+                    p = p > s[k] ? p : s[k];
+                break;
+              case ReductionOp::Min:
+                for (int k = 0; k < len; k++)
+                    p = p < s[k] ? p : s[k];
+                break;
+            }
             partials[r] = p;
         }
     }

@@ -1,6 +1,7 @@
 #include "csr.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -98,71 +99,90 @@ SparseContext::finalizeAnalytic(const AnalyticCsr &shape, bool idx32)
     return m;
 }
 
-CsrMatrix
-SparseContext::finalize(Assembly &&assembly, bool idx32)
+namespace {
+
+/**
+ * Appends CSR rows straight into a matrix's buffers. Index is the
+ * column-index width, fixed for the whole pass; the diagonal buffer
+ * starts zeroed and takes the value of each row's column == row
+ * entry as it is written.
+ */
+template <typename Index>
+struct RowWriter
 {
-    DiffuseRuntime &rt = arrays_.runtime();
-    coord_t rows = assembly.rows;
-    coord_t nnz = coord_t(assembly.colind.size());
+    std::int64_t *rowptr;
+    Index *colind;
+    double *vals;
+    double *diag;
+    coord_t row = 0;
+    std::int64_t k = 0;
 
-    CsrMatrix m =
-        makeHandle(rows, assembly.cols, nnz, idx32);
-    auto impl = m.impl_;
-
-    if (rt.low().mode() == rt::ExecutionMode::Real) {
-        std::copy(assembly.rowptr.begin(), assembly.rowptr.end(),
-                  rt.low().dataI64(impl->rowptr));
-        if (idx32) {
-            std::int32_t *ci = rt.low().dataI32(impl->colind);
-            for (std::size_t k = 0; k < assembly.colind.size(); k++)
-                ci[k] = std::int32_t(assembly.colind[k]);
-        } else {
-            std::copy(assembly.colind.begin(), assembly.colind.end(),
-                      rt.low().dataI64(impl->colind));
-        }
-        std::copy(assembly.vals.begin(), assembly.vals.end(),
-                  rt.low().dataF64(impl->vals));
-        rt.low().markInitialized(impl->rowptr);
-        rt.low().markInitialized(impl->colind);
-        rt.low().markInitialized(impl->vals);
+    void
+    put(coord_t col, double v)
+    {
+        colind[k] = Index(col);
+        vals[k] = v;
+        if (col == row)
+            diag[row] = v;
+        k++;
     }
 
-    // Image partitions: per-point row-pointer windows, nonzero ranges
-    // and gathered-x bounding intervals, computed at assembly like
-    // Legion dependent partitioning would.
-    auto nnz_up_to = [&assembly](coord_t r) {
-        return coord_t(assembly.rowptr[std::size_t(r)]);
-    };
-    auto col_range = [&assembly](coord_t r0, coord_t r1) {
-        coord_t k0 = assembly.rowptr[std::size_t(r0)];
-        coord_t k1 = assembly.rowptr[std::size_t(r1)];
-        coord_t cmin = assembly.cols, cmax = -1;
-        for (coord_t k = k0; k < k1; k++) {
-            coord_t c = assembly.colind[std::size_t(k)];
-            cmin = std::min(cmin, c);
-            cmax = std::max(cmax, c);
-        }
-        if (cmax < 0)
-            cmin = 0;
-        return std::make_pair(cmin, cmax + 1);
-    };
-    registerImages(*impl, nnz_up_to, col_range);
+    void endRow() { rowptr[++row] = k; }
+};
 
+} // namespace
+
+template <typename Fill>
+CsrMatrix
+SparseContext::assemble(coord_t rows, coord_t cols, coord_t nnz,
+                        bool idx32, const Fill &fill)
+{
+    rt::LowRuntime &low = arrays_.runtime().low();
+    CsrMatrix m = makeHandle(rows, cols, nnz, idx32);
+    CsrMatrix::Impl &impl = *m.impl_;
     // Diagonal (assembly-time matrix property, like Legate Sparse).
-    impl->diag = arrays_.zeros(rows);
-    if (rt.low().mode() == rt::ExecutionMode::Real) {
-        double *d = rt.low().dataF64(impl->diag.store());
-        for (coord_t i = 0; i < rows; i++) {
-            d[i] = 0.0;
-            for (coord_t k = assembly.rowptr[std::size_t(i)];
-                 k < assembly.rowptr[std::size_t(i + 1)]; k++) {
-                if (assembly.colind[std::size_t(k)] == i)
-                    d[i] = assembly.vals[std::size_t(k)];
-            }
-        }
-        rt.low().markInitialized(impl->diag.store());
-    }
+    impl.diag = arrays_.zeros(rows);
 
+    std::int64_t *rowptr = low.dataI64(impl.rowptr);
+    double *vals = low.dataF64(impl.vals);
+    double *diag = low.dataF64(impl.diag.store());
+    auto write = [&](auto *colind) {
+        using Index = std::remove_pointer_t<decltype(colind)>;
+        RowWriter<Index> w{rowptr, colind, vals, diag};
+        rowptr[0] = 0;
+        fill(w);
+        diffuse_assert(w.row == rows && w.k == nnz,
+                       "CSR assembly wrote %lld of %lld nonzeros",
+                       (long long)w.k, (long long)nnz);
+
+        // Image partitions: per-point row-pointer windows, nonzero
+        // ranges and gathered-x bounding intervals, read off the
+        // filled buffers like Legion dependent partitioning would.
+        auto nnz_up_to = [rowptr](coord_t r) {
+            return coord_t(rowptr[r]);
+        };
+        auto col_range = [rowptr, colind, cols](coord_t r0, coord_t r1) {
+            coord_t cmin = cols, cmax = -1;
+            for (std::int64_t k = rowptr[r0]; k < rowptr[r1]; k++) {
+                coord_t c = colind[k];
+                cmin = std::min(cmin, c);
+                cmax = std::max(cmax, c);
+            }
+            if (cmax < 0)
+                cmin = 0;
+            return std::make_pair(cmin, cmax + 1);
+        };
+        registerImages(impl, nnz_up_to, col_range);
+    };
+    if (idx32)
+        write(low.dataI32(impl.colind));
+    else
+        write(low.dataI64(impl.colind));
+
+    low.markInitialized(impl.rowptr);
+    low.markInitialized(impl.colind);
+    low.markInitialized(impl.vals);
+    low.markInitialized(impl.diag.store());
     return m;
 }
 
@@ -193,35 +213,25 @@ SparseContext::poisson2d(coord_t nx, coord_t ny, bool idx32)
         };
         return finalizeAnalytic(shape, idx32);
     }
-    Assembly a;
-    a.rows = a.cols = nx * ny;
-    a.rowptr.reserve(std::size_t(a.rows + 1));
-    a.rowptr.push_back(0);
-    for (coord_t i = 0; i < ny; i++) {
-        for (coord_t j = 0; j < nx; j++) {
-            coord_t row = i * nx + j;
-            if (i > 0) {
-                a.colind.push_back(row - nx);
-                a.vals.push_back(-1.0);
+    coord_t n = nx * ny;
+    coord_t nnz = n == 0 ? 0 : 5 * n - 2 * nx - 2 * ny;
+    return assemble(n, n, nnz, idx32, [nx, ny](auto &w) {
+        for (coord_t i = 0; i < ny; i++) {
+            for (coord_t j = 0; j < nx; j++) {
+                coord_t row = i * nx + j;
+                if (i > 0)
+                    w.put(row - nx, -1.0);
+                if (j > 0)
+                    w.put(row - 1, -1.0);
+                w.put(row, 4.0);
+                if (j + 1 < nx)
+                    w.put(row + 1, -1.0);
+                if (i + 1 < ny)
+                    w.put(row + nx, -1.0);
+                w.endRow();
             }
-            if (j > 0) {
-                a.colind.push_back(row - 1);
-                a.vals.push_back(-1.0);
-            }
-            a.colind.push_back(row);
-            a.vals.push_back(4.0);
-            if (j + 1 < nx) {
-                a.colind.push_back(row + 1);
-                a.vals.push_back(-1.0);
-            }
-            if (i + 1 < ny) {
-                a.colind.push_back(row + nx);
-                a.vals.push_back(-1.0);
-            }
-            a.rowptr.push_back(coord_t(a.colind.size()));
         }
-    }
-    return finalize(std::move(a), idx32);
+    });
 }
 
 CsrMatrix
@@ -243,23 +253,17 @@ SparseContext::tridiagonal(coord_t n, double diag, double off,
         };
         return finalizeAnalytic(shape, idx32);
     }
-    Assembly a;
-    a.rows = a.cols = n;
-    a.rowptr.push_back(0);
-    for (coord_t i = 0; i < n; i++) {
-        if (i > 0) {
-            a.colind.push_back(i - 1);
-            a.vals.push_back(off);
+    coord_t nnz = n == 0 ? 0 : 3 * n - 2;
+    return assemble(n, n, nnz, idx32, [n, diag, off](auto &w) {
+        for (coord_t i = 0; i < n; i++) {
+            if (i > 0)
+                w.put(i - 1, off);
+            w.put(i, diag);
+            if (i + 1 < n)
+                w.put(i + 1, off);
+            w.endRow();
         }
-        a.colind.push_back(i);
-        a.vals.push_back(diag);
-        if (i + 1 < n) {
-            a.colind.push_back(i + 1);
-            a.vals.push_back(off);
-        }
-        a.rowptr.push_back(coord_t(a.colind.size()));
-    }
-    return finalize(std::move(a), idx32);
+    });
 }
 
 CsrMatrix
@@ -277,16 +281,14 @@ SparseContext::injection1d(coord_t n_fine, bool idx32)
         };
         return finalizeAnalytic(shape, idx32);
     }
-    Assembly a;
-    a.rows = n_fine / 2;
-    a.cols = n_fine;
-    a.rowptr.push_back(0);
-    for (coord_t i = 0; i < a.rows; i++) {
-        a.colind.push_back(2 * i);
-        a.vals.push_back(1.0);
-        a.rowptr.push_back(coord_t(a.colind.size()));
-    }
-    return finalize(std::move(a), idx32);
+    coord_t n_coarse = n_fine / 2;
+    auto fill = [n_coarse](auto &w) {
+        for (coord_t i = 0; i < n_coarse; i++) {
+            w.put(2 * i, 1.0);
+            w.endRow();
+        }
+    };
+    return assemble(n_coarse, n_fine, n_coarse, idx32, fill);
 }
 
 CsrMatrix
@@ -314,25 +316,18 @@ SparseContext::prolongation1d(coord_t n_fine, bool idx32)
         };
         return finalizeAnalytic(shape, idx32);
     }
-    Assembly a;
-    a.rows = n_fine;
-    a.cols = n_coarse;
-    a.rowptr.push_back(0);
-    for (coord_t i = 0; i < n_fine; i++) {
-        if (i % 2 == 0) {
-            a.colind.push_back(i / 2);
-            a.vals.push_back(1.0);
-        } else {
-            a.colind.push_back(i / 2);
-            a.vals.push_back(0.5);
-            if (i / 2 + 1 < n_coarse) {
-                a.colind.push_back(i / 2 + 1);
-                a.vals.push_back(0.5);
-            }
+    // Even rows hold 1 entry, odd rows 2, except the last odd row
+    // (2*n_coarse - 1), whose right neighbour falls off the grid.
+    coord_t nnz = n_fine + n_fine / 2 - (n_coarse > 0 ? 1 : 0);
+    auto fill = [n_fine, n_coarse](auto &w) {
+        for (coord_t i = 0; i < n_fine; i++) {
+            w.put(i / 2, i % 2 == 0 ? 1.0 : 0.5);
+            if (i % 2 == 1 && i / 2 + 1 < n_coarse)
+                w.put(i / 2 + 1, 0.5);
+            w.endRow();
         }
-        a.rowptr.push_back(coord_t(a.colind.size()));
-    }
-    return finalize(std::move(a), idx32);
+    };
+    return assemble(n_fine, n_coarse, nnz, idx32, fill);
 }
 
 num::NDArray

@@ -12,13 +12,18 @@
  * assembly (the scale-aware analogue of Legion dependent partitioning).
  * Column indices may be 32-bit, matching the paper's PETSc-parity
  * adjustment (§7.1 footnote: PETSc stores coordinates as 32-bit).
+ *
+ * Real-mode assembly writes each row straight into the stores in one
+ * pass, at the matrix's index width, filling the diagonal as it goes;
+ * the images are then read off the filled row pointers and column
+ * indices. No intermediate triplet or CSR copy is built.
  */
 
 #ifndef DIFFUSE_SPARSE_CSR_H
 #define DIFFUSE_SPARSE_CSR_H
 
+#include <functional>
 #include <memory>
-#include <vector>
 
 #include "cunumeric/ndarray.h"
 
@@ -50,6 +55,19 @@ class CsrMatrix
 
     /** Dense vector holding the matrix diagonal (assembly-time). */
     const num::NDArray &diagonal() const { return impl_->diag; }
+
+    /** Row pointers (i64), column indices (i32 or i64) and values. */
+    StoreId rowptrStore() const { return impl_->rowptr; }
+    StoreId colindStore() const { return impl_->colind; }
+    StoreId valsStore() const { return impl_->vals; }
+
+    /**
+     * Image partitions registered at assembly: per-point row-pointer
+     * windows, nonzero ranges and gathered-x bounding intervals.
+     */
+    ImageId rowptrImage() const { return impl_->rowptrImage; }
+    ImageId nnzImage() const { return impl_->nnzImage; }
+    ImageId gatherImage() const { return impl_->gatherImage; }
 
   private:
     friend class SparseContext;
@@ -118,15 +136,6 @@ class SparseContext
     num::NDArray spmv(const CsrMatrix &a, const num::NDArray &x);
 
   private:
-    /** Triplet-free direct CSR assembly helper. */
-    struct Assembly
-    {
-        coord_t rows = 0, cols = 0;
-        std::vector<std::int64_t> rowptr;
-        std::vector<std::int64_t> colind;
-        std::vector<double> vals;
-    };
-
     /**
      * Structure description used in Simulated mode: the matrix never
      * materializes, only its partition images do — so weak-scaling
@@ -143,7 +152,17 @@ class SparseContext
             colRange;
     };
 
-    CsrMatrix finalize(Assembly &&assembly, bool idx32);
+    /**
+     * Real-mode assembly: allocate a rows-by-cols matrix holding
+     * exactly nnz entries and call fill(w) once with a row writer
+     * bound to its stores. fill appends every row in order through
+     * w.put(col, value) / w.endRow(); entries land directly in the
+     * pooled colind/vals buffers at the matrix's index width, and the
+     * entry on column == row (if any) becomes the row's diagonal.
+     */
+    template <typename Fill>
+    CsrMatrix assemble(coord_t rows, coord_t cols, coord_t nnz,
+                       bool idx32, const Fill &fill);
     CsrMatrix finalizeAnalytic(const AnalyticCsr &shape, bool idx32);
     CsrMatrix makeHandle(coord_t rows, coord_t cols, coord_t nnz,
                          bool idx32);

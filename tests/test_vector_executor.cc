@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "kernel/compiler.h"
@@ -295,49 +296,130 @@ TEST(VectorExecutor, FusedTriadsMatchOracleInAllOrders)
                             std::vector<double>(n, 0.0));
 }
 
-TEST(VectorExecutor, ReductionsBitIdenticalAtEveryStripWidth)
+/**
+ * acc[r] op_r= fold of in[i] * scale over one nest carrying one
+ * reduction per entry of `ops`, each into its own accumulator.
+ */
+KernelFunction
+makeReductionKernel(const std::vector<ReductionOp> &ops)
 {
-    for (ReductionOp op :
-         {ReductionOp::Sum, ReductionOp::Max, ReductionOp::Min}) {
-        KernelFunction fn;
-        fn.name = "reduce";
-        fn.numArgs = 3; // in, scale, acc
-        fn.buffers.resize(3);
-        fn.buffers[0].dims = 1;
-        fn.buffers[0].shapeClass = 0;
-        fn.buffers[1].dims = 1;
-        fn.buffers[1].shapeClass = 1;
-        fn.buffers[2].dims = 1;
-        fn.buffers[2].shapeClass = 1;
-        LoopNest nest;
-        nest.domainBuf = 0;
-        BodyBuilder b(nest.body);
-        int prod = b.binary(Op::Mul, b.load(0), b.load(1));
+    KernelFunction fn;
+    fn.name = "reduce";
+    fn.numArgs = 2 + int(ops.size()); // in, scale, accumulators
+    fn.buffers.resize(std::size_t(fn.numArgs));
+    for (std::size_t i = 0; i < fn.buffers.size(); i++) {
+        fn.buffers[i].dims = 1;
+        fn.buffers[i].shapeClass = i == 0 ? 0 : 1;
+    }
+    LoopNest nest;
+    nest.domainBuf = 0;
+    BodyBuilder b(nest.body);
+    int prod = b.binary(Op::Mul, b.load(0), b.load(1));
+    for (std::size_t r = 0; r < ops.size(); r++) {
         Reduction red;
-        red.accBuf = 2;
-        red.op = op;
+        red.accBuf = 2 + int(r);
+        red.op = ops[r];
         red.srcReg = prod;
         nest.reductions.push_back(red);
-        fn.nests.push_back(std::move(nest));
+    }
+    fn.nests.push_back(std::move(nest));
+    return fn;
+}
 
-        const coord_t n = 1000; // not a strip multiple
-        std::vector<double> in(n), scale{1.0 / 3.0};
-        fill(in, 10 + int(op));
-        std::vector<double> acc{0.125};
+/**
+ * Run makeReductionKernel(ops) over `in` with every accumulator
+ * starting at acc0: the scalar oracle must equal an element-order
+ * applyReduction fold, and the vector engine must equal the oracle
+ * bitwise at every strip width.
+ */
+void
+expectReductionsMatchOracle(const std::vector<ReductionOp> &ops,
+                            std::vector<double> in, double acc0)
+{
+    const double scale_v = 1.0 / 3.0;
+    KernelFunction fn = makeReductionKernel(ops);
+    std::vector<double> scale{scale_v};
+    std::vector<std::vector<double>> acc(ops.size(), {acc0});
+    std::vector<BufferBinding> binds{bindVec(in), bindVec(scale)};
+    for (auto &a : acc)
+        binds.push_back(bindVec(a));
 
-        Executor ex;
-        std::vector<BufferBinding> binds{bindVec(in), bindVec(scale),
-                                         bindVec(acc)};
-        ex.runScalar(fn, binds, {});
-        double want = acc[0];
+    Executor ex;
+    ex.runScalar(fn, binds, {});
+    std::vector<double> want;
+    for (std::size_t r = 0; r < ops.size(); r++) {
+        double p = reductionIdentity(ops[r]);
+        for (double v : in)
+            p = applyReduction(ops[r], p, v * scale_v);
+        double fold = applyReduction(ops[r], acc0, p);
+        EXPECT_EQ(std::memcmp(&acc[r][0], &fold, sizeof(double)), 0)
+            << reductionOpName(ops[r]) << " oracle " << acc[r][0]
+            << " vs fold " << fold;
+        want.push_back(acc[r][0]);
+    }
 
-        for (int w : kStrips) {
-            ExecutablePlan plan = lowerPlan(fn, w);
-            acc[0] = 0.125;
-            ex.run(fn, plan, binds, {});
-            EXPECT_EQ(std::memcmp(&acc[0], &want, sizeof(double)), 0)
-                << reductionOpName(op) << " strip " << w;
+    for (int w : kStrips) {
+        ExecutablePlan plan = lowerPlan(fn, w);
+        for (auto &a : acc)
+            a[0] = acc0;
+        ex.run(fn, plan, binds, {});
+        for (std::size_t r = 0; r < ops.size(); r++) {
+            EXPECT_EQ(std::memcmp(&acc[r][0], &want[r], sizeof(double)),
+                      0)
+                << reductionOpName(ops[r]) << " strip " << w << ": "
+                << acc[r][0] << " vs oracle " << want[r];
         }
+    }
+}
+
+TEST(VectorExecutor, ReductionsBitIdenticalAtEveryStripWidth)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+
+    // Quasi-random data, 1000 elements: not a strip multiple.
+    std::vector<double> plain(1000);
+    fill(plain, 10);
+    // The same with NaNs, signed zeros and infinities sprinkled across
+    // strip boundaries: Max/Min keep applyReduction's exact ordered
+    // comparisons (a NaN partial is replaced by the next element; of
+    // +0 and -0 the later one wins), which fmax/std::max do not.
+    std::vector<double> mixed = plain;
+    for (std::size_t i = 0; i < mixed.size(); i++) {
+        if (i % 7 == 3)
+            mixed[i] = nan;
+        else if (i % 11 == 5)
+            mixed[i] = i % 2 ? -0.0 : 0.0;
+        else if (i % 97 == 50)
+            mixed[i] = i % 2 ? -inf : inf;
+    }
+    const std::vector<std::vector<double>> inputs{
+        plain,
+        mixed,
+        {-0.0, 0.0, -0.0, 0.0, 0.0},
+        {0.0, -0.0, -0.0},
+        {nan, 1.0, -1.0},
+        {1.0, -1.0, nan},
+        {-0.0, nan, 0.0, -inf, inf, nan, -0.0},
+    };
+
+    for (ReductionOp op :
+         {ReductionOp::Sum, ReductionOp::Max, ReductionOp::Min}) {
+        for (std::size_t i = 0; i < inputs.size(); i++) {
+            for (double acc0 : {0.125, 0.0, -0.0, nan, -inf}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "input " << i << " acc0 " << acc0);
+                expectReductionsMatchOracle({op}, inputs[i], acc0);
+            }
+        }
+    }
+
+    // One nest carrying reductions with different ops.
+    for (std::size_t i = 0; i < inputs.size(); i++) {
+        SCOPED_TRACE(::testing::Message() << "mixed ops, input " << i);
+        expectReductionsMatchOracle(
+            {ReductionOp::Max, ReductionOp::Sum, ReductionOp::Min},
+            inputs[i], -0.0);
     }
 }
 
