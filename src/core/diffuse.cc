@@ -289,7 +289,7 @@ DiffuseRuntime::writeStoreF64(StoreId id, const std::vector<double> &v)
     // A full overwrite redefines the contents: lift any poison before
     // the accessor (which would otherwise surface the stale failure).
     low_.clearPoison(id);
-    std::memcpy(low_.dataF64(id), v.data(), n * sizeof(double));
+    std::memcpy(low_.overwriteF64(id), v.data(), n * sizeof(double));
     low_.markInitialized(id);
 }
 

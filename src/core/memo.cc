@@ -127,6 +127,20 @@ Memoizer::getOrBuild(const std::string &key,
     return &ins->second;
 }
 
+std::vector<std::shared_ptr<kir::CompiledKernel>>
+Memoizer::kernels()
+{
+    std::vector<std::shared_ptr<kir::CompiledKernel>> out;
+    for (Shard &shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        for (const auto &entry : shard.map) {
+            if (entry.second.kernel != nullptr)
+                out.push_back(entry.second.kernel);
+        }
+    }
+    return out;
+}
+
 CachedGroup
 Memoizer::canonicalize(const ExecutionGroup &group,
                        std::span<const StoreId> slots)

@@ -120,6 +120,10 @@ class Memoizer
     getOrBuild(const std::string &key,
                const std::function<CachedGroup()> &build);
 
+    /** Every cached group's compiled kernel, in no particular order
+     * (tests and diagnostics inspect the plans the planner built). */
+    std::vector<std::shared_ptr<kir::CompiledKernel>> kernels();
+
     /** Convert an ExecutionGroup into its canonical cached form. */
     static CachedGroup canonicalize(const ExecutionGroup &group,
                                     std::span<const StoreId> slots);

@@ -113,7 +113,7 @@ Context::random(coord_t n, std::uint64_t seed, double lo, double hi)
 {
     NDArray a = zeros(n);
     if (rt_.low().mode() == rt::ExecutionMode::Real) {
-        double *p = rt_.low().dataF64(a.store());
+        double *p = rt_.low().overwriteF64(a.store());
         Rng rng(seed);
         for (coord_t i = 0; i < n; i++)
             p[i] = rng.uniform(lo, hi);
@@ -128,7 +128,7 @@ Context::random2d(coord_t rows, coord_t cols, std::uint64_t seed,
 {
     NDArray a = zeros2d(rows, cols);
     if (rt_.low().mode() == rt::ExecutionMode::Real) {
-        double *p = rt_.low().dataF64(a.store());
+        double *p = rt_.low().overwriteF64(a.store());
         Rng rng(seed);
         for (coord_t i = 0; i < rows * cols; i++)
             p[i] = rng.uniform(lo, hi);

@@ -370,6 +370,8 @@ Executor::ensureVecRegs(const ExecutablePlan &plan)
                        std::size_t(plan.stripWidth);
     if (vregs_.size() < need)
         vregs_.resize(need);
+    if (slotPtrs_.size() < std::size_t(plan.maxRegCount))
+        slotPtrs_.resize(std::size_t(plan.maxRegCount));
 }
 
 void
@@ -396,14 +398,41 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
     double *vr = vregs_.data();
     std::size_t w = std::size_t(width);
 
+    // Where each slot's strip lies: its register vector, or memory for
+    // in-place Loads and producers. Every tape definition re-points
+    // its slot; invariant slots keep their register vectors.
+    const double **src = slotPtrs_.data();
+    for (int r = 0; r < dp.regCount; r++)
+        src[r] = vr + std::size_t(r) * w;
+    auto at = [&](const ResolvedAccess &a) {
+        return a.base + row * a.rowStride + col0 * a.step;
+    };
+    // Destination of a producer: straight into the following Store's
+    // contiguous destination when the plan allows it.
+    auto dest = [&](const VecInstr &ins) {
+        double *d = vr + std::size_t(ins.dst) * w;
+        if (ins.inPlace) {
+            const ResolvedAccess &a =
+                rn.accesses[std::size_t(ins.access)];
+            if (a.step == 1)
+                d = at(a);
+        }
+        src[ins.dst] = d;
+        return d;
+    };
+
     for (const VecInstr &ins : dp.tape) {
         switch (ins.op) {
           case VecOp::Load: {
             const ResolvedAccess &a =
                 rn.accesses[std::size_t(ins.access)];
-            const double *p =
-                a.base + row * a.rowStride + col0 * a.step;
+            const double *p = at(a);
+            if (a.step == 1 && ins.inPlace) {
+                src[ins.dst] = p;
+                break;
+            }
             double *__restrict d = vr + std::size_t(ins.dst) * w;
+            src[ins.dst] = d;
             if (a.step == 1) {
                 for (int k = 0; k < len; k++)
                     d[k] = p[k];
@@ -421,8 +450,10 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
           case VecOp::Store: {
             const ResolvedAccess &a =
                 rn.accesses[std::size_t(ins.access)];
-            double *p = a.base + row * a.rowStride + col0 * a.step;
-            const double *__restrict s = vr + std::size_t(ins.a) * w;
+            double *p = at(a);
+            if (src[ins.a] == p)
+                break; // written in place by its producer or load
+            const double *__restrict s = src[ins.a];
             if (a.step == 1) {
                 for (int k = 0; k < len; k++)
                     p[k] = s[k];
@@ -445,8 +476,8 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
                                 : ins.imm
 #define DIFFUSE_VEC_UNOP(EXPR)                                          \
     {                                                                   \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
+        double *__restrict d = dest(ins);                              \
+        const double *__restrict va = src[ins.a];                      \
         for (int k = 0; k < len; k++)                                   \
             d[k] = (EXPR);                                              \
     }                                                                   \
@@ -454,17 +485,17 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
 #define DIFFUSE_VEC_KOP(EXPR)                                           \
     {                                                                   \
         DIFFUSE_KV;                                                     \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
+        double *__restrict d = dest(ins);                              \
+        const double *__restrict va = src[ins.a];                      \
         for (int k = 0; k < len; k++)                                   \
             d[k] = (EXPR);                                              \
     }                                                                   \
     break
 #define DIFFUSE_VEC_BINOP(EXPR)                                         \
     {                                                                   \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        const double *__restrict vb = vr + std::size_t(ins.b) * w;      \
+        double *__restrict d = dest(ins);                              \
+        const double *__restrict va = src[ins.a];                      \
+        const double *__restrict vb = src[ins.b];                      \
         for (int k = 0; k < len; k++)                                   \
             d[k] = (EXPR);                                              \
     }                                                                   \
@@ -474,10 +505,10 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
 // results match the unfused pair bitwise.
 #define DIFFUSE_VEC_TRIOP(EXPR)                                         \
     {                                                                   \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        const double *__restrict vb = vr + std::size_t(ins.b) * w;      \
-        const double *__restrict vc = vr + std::size_t(ins.c) * w;      \
+        double *__restrict d = dest(ins);                              \
+        const double *__restrict va = src[ins.a];                      \
+        const double *__restrict vb = src[ins.b];                      \
+        const double *__restrict vc = src[ins.c];                      \
         for (int k = 0; k < len; k++) {                                 \
             double t = va[k] * vb[k];                                   \
             d[k] = (EXPR);                                              \
@@ -487,9 +518,9 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
 #define DIFFUSE_VEC_TRIKOP(EXPR)                                        \
     {                                                                   \
         DIFFUSE_KV;                                                     \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        const double *__restrict vb = vr + std::size_t(ins.b) * w;      \
+        double *__restrict d = dest(ins);                              \
+        const double *__restrict va = src[ins.a];                      \
+        const double *__restrict vb = src[ins.b];                      \
         for (int k = 0; k < len; k++) {                                 \
             double t = va[k] * vb[k];                                   \
             d[k] = (EXPR);                                              \
@@ -529,10 +560,10 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
           case VecOp::CmpGt:
             DIFFUSE_VEC_BINOP(va[k] > vb[k] ? 1.0 : 0.0);
           case VecOp::Select: {
-            double *__restrict d = vr + std::size_t(ins.dst) * w;
-            const double *__restrict va = vr + std::size_t(ins.a) * w;
-            const double *__restrict vb = vr + std::size_t(ins.b) * w;
-            const double *__restrict vc = vr + std::size_t(ins.c) * w;
+            double *__restrict d = dest(ins);
+            const double *__restrict va = src[ins.a];
+            const double *__restrict vb = src[ins.b];
+            const double *__restrict vc = src[ins.c];
             for (int k = 0; k < len; k++)
                 d[k] = va[k] != 0.0 ? vb[k] : vc[k];
             break;
@@ -579,9 +610,9 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
 #define DIFFUSE_VEC_SCALEOP(EXPR)                                       \
     {                                                                   \
         DIFFUSE_KV;                                                     \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        const double *__restrict vc = vr + std::size_t(ins.c) * w;      \
+        double *__restrict d = dest(ins);                              \
+        const double *__restrict va = src[ins.a];                      \
+        const double *__restrict vc = src[ins.c];                      \
         for (int k = 0; k < len; k++) {                                 \
             double t = va[k] * kv;                                      \
             d[k] = (EXPR);                                              \
@@ -594,8 +625,8 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
         double kv2 = ins.scalar2 >= 0                                   \
                          ? scalars[std::size_t(ins.scalar2)]            \
                          : ins.imm2;                                    \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
+        double *__restrict d = dest(ins);                              \
+        const double *__restrict va = src[ins.a];                      \
         for (int k = 0; k < len; k++) {                                 \
             double t = va[k] * kv;                                      \
             d[k] = (EXPR);                                              \
@@ -634,7 +665,7 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
     if (partials != nullptr) {
         for (std::size_t r = 0; r < dp.reductions.size(); r++) {
             const Reduction &red = dp.reductions[r];
-            const double *s = vr + std::size_t(red.srcReg) * w;
+            const double *s = src[red.srcReg];
             double p = partials[r];
             switch (red.op) {
               case ReductionOp::Sum:

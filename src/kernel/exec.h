@@ -11,9 +11,12 @@
  *    each as contiguous / strided / broadcast), allocates task-local
  *    temporaries from a reusable arena, and the executor then runs
  *    pointer-bumping inner loops over strips of N elements held in a
- *    register-vector file. Reductions fold lanes in element order, so
- *    results are bit-identical to the scalar oracle at every strip
- *    width.
+ *    register-vector file. Operands the plan marks in place skip the
+ *    file: a contiguous in-place Load is read where it lies, and an
+ *    in-place producer writes straight into the contiguous
+ *    destination of the Store after it (plan.h states the rules).
+ *    Reductions fold lanes in element order, so results are
+ *    bit-identical to the scalar oracle at every strip width.
  *
  *  - The **scalar interpreter** (the oracle): the original
  *    element-at-a-time switch interpreter, retained verbatim behind
@@ -280,6 +283,9 @@ class Executor
     std::vector<double> scalarArena_; ///< scalar-path locals, reused
     std::vector<double> regs_;        ///< scalar register file
     std::vector<double> vregs_;       ///< vector register file
+    /** Per-slot strip pointer: a register vector or, for in-place
+     * Loads and producers, memory (one strip at a time). */
+    std::vector<const double *> slotPtrs_;
     std::vector<double> partials_;    ///< reduction scratch
     std::uint64_t invariantEpoch_ = 0;
     PointContext ownCtx_; ///< context for the sequential run() API

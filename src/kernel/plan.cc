@@ -541,6 +541,76 @@ rebuildAccesses(DensePlan &plan)
     plan.accesses = std::move(live);
 }
 
+/**
+ * Mark the Loads and producers the executor may address in place (see
+ * VecInstr::inPlace). Runs on the final SSA tape, before slot
+ * allocation. Both rules keep the element-order semantics of the
+ * scalar oracle: an in-place Load is read at its uses rather than at
+ * the Load, so no aliasing Store may run in between; an in-place
+ * producer writes one instruction before its Store, and nothing runs
+ * in between.
+ */
+void
+markInPlace(DensePlan &plan, const KernelFunction &fn)
+{
+    const int n = int(plan.tape.size());
+    const std::size_t nregs = std::size_t(plan.regCount);
+    std::vector<int> last_use(nregs, -1), uses(nregs, 0), def(nregs, -1);
+    for (int i = 0; i < n; i++) {
+        const VecInstr &ins = plan.tape[std::size_t(i)];
+        if (ins.dst >= 0)
+            def[std::size_t(ins.dst)] = i;
+        for (int r : {ins.a, ins.b, ins.c}) {
+            if (r >= 0) {
+                last_use[std::size_t(r)] = i;
+                uses[std::size_t(r)]++;
+            }
+        }
+    }
+    for (const Reduction &r : plan.reductions) {
+        last_use[std::size_t(r.srcReg)] = n; // live until the fold
+        uses[std::size_t(r.srcReg)]++;
+    }
+    auto buf_of = [&](const VecInstr &ins) {
+        return plan.accesses[std::size_t(ins.access)].buf;
+    };
+
+    for (int i = 0; i < n; i++) {
+        VecInstr &ins = plan.tape[std::size_t(i)];
+        if (ins.op == VecOp::Load) {
+            // A Store at the last use itself stores this value: the
+            // views are identical, so it writes what it reads.
+            bool clobbered = false;
+            for (int j = i + 1; j < last_use[std::size_t(ins.dst)]; j++) {
+                const VecInstr &st = plan.tape[std::size_t(j)];
+                if (st.op == VecOp::Store &&
+                    mayAlias(fn, buf_of(st), buf_of(ins)))
+                    clobbered = true;
+            }
+            ins.inPlace = !clobbered;
+            continue;
+        }
+        if (ins.op == VecOp::Store || ins.dst < 0 || i + 1 >= n)
+            continue;
+        const VecInstr &st = plan.tape[std::size_t(i + 1)];
+        if (st.op != VecOp::Store || st.a != ins.dst ||
+            uses[std::size_t(ins.dst)] != 1)
+            continue;
+        bool hazard = false;
+        for (int r : {ins.a, ins.b, ins.c}) {
+            int d = r >= 0 ? def[std::size_t(r)] : -1;
+            if (d >= 0 && plan.tape[std::size_t(d)].op == VecOp::Load &&
+                mayAlias(fn, buf_of(plan.tape[std::size_t(d)]),
+                         buf_of(st)))
+                hazard = true;
+        }
+        if (!hazard) {
+            ins.inPlace = true;
+            ins.access = st.access;
+        }
+    }
+}
+
 /** Drop splats whose destination no tape op or reduction reads. */
 void
 pruneSplats(DensePlan &plan)
@@ -632,6 +702,7 @@ lowerDense(const KernelFunction &fn, const LoopNest &nest)
         }
     }
 
+    markInPlace(plan, fn);
     allocateSlots(plan, registerCount(nest.body));
     return plan;
 }

@@ -20,6 +20,18 @@
  * (extent-1) — after which inner loops bump pointers with no
  * per-element address lambda and no per-element broadcast test.
  *
+ * Where it is safe, the tape addresses memory directly instead of
+ * routing every operand through the register file (the memory passes
+ * kernel fusion exists to remove). A Load is *in place* when no Store
+ * to a buffer that may alias it runs while its value is live (a
+ * reduction source is live until the strip's fold); a contiguous
+ * in-place Load only points its slot at memory. A producer is *in
+ * place* when its only use is the Store right after it and none of
+ * its operands is a load of a buffer that may alias that Store (so
+ * the executor's __restrict inner loops stay honest); it writes
+ * straight into a contiguous Store destination, and the Store, whose
+ * source already sits there, does nothing.
+ *
  * Plans are lowered by the JIT compiler right after the optimization
  * pipeline and cached inside kir::CompiledKernel, so the memoizer's
  * group cache (paper §5.2) amortizes plan construction exactly like
@@ -124,6 +136,17 @@ struct VecInstr
     double imm = 0.0;         ///< immediate for Splat / K-forms
     std::int32_t scalar2 = -1; ///< second scalar index (MulK*K forms)
     double imm2 = 0.0;         ///< second immediate (MulK*K forms)
+    /**
+     * In-place addressing, decided at plan time (see markInPlace):
+     *  - Load: no aliasing Store runs while the value is live, so a
+     *    contiguous access is read where it lies instead of copied.
+     *  - Producer: its only use is the Store right after it and no
+     *    operand is a load of a buffer that may alias that Store, so
+     *    it writes straight into the Store's contiguous destination;
+     *    `access` then names that Store's access slot.
+     * Strided and broadcast accesses ignore the flag and copy.
+     */
+    bool inPlace = false;
 };
 
 /** Strip-mined lowering of one Dense nest body. */

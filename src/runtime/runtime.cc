@@ -354,20 +354,42 @@ LowRuntime::storeDtype(StoreId id) const
     return rec(id).dtype;
 }
 
-double *
-LowRuntime::dataF64(StoreId id)
+LowRuntime::StoreRec &
+LowRuntime::hostRec(StoreId id, DType want)
 {
     if (hostWriteObserver_)
         hostWriteObserver_(id);
     stream_.waitStore(id);
     throwIfPoisoned(id);
     StoreRec &r = rec(id);
-    if (r.dtype != DType::F64)
+    if (r.dtype != want)
         throw DiffuseError(makeError(
             ErrorCode::InvalidArgument,
-            strprintf("store %llu is not f64", (unsigned long long)id),
+            strprintf("store %llu is not %s", (unsigned long long)id,
+                      dtypeName(want)),
             std::string(), id));
-    ensureAllocated(r);
+    return r;
+}
+
+double *
+LowRuntime::dataF64(StoreId id)
+{
+    return hostF64(id, /*overwrite=*/false);
+}
+
+double *
+LowRuntime::overwriteF64(StoreId id)
+{
+    return hostF64(id, /*overwrite=*/true);
+}
+
+double *
+LowRuntime::hostF64(StoreId id, bool overwrite)
+{
+    StoreRec &r = hostRec(id, DType::F64);
+    // A caller that writes every element needs no init fill of a
+    // fresh allocation and no shard rectangle gathered.
+    ensureAllocated(r, /*skip_init=*/overwrite);
     if (r.data.empty())
         throw DiffuseError(makeError(
             ErrorCode::StoreError,
@@ -377,7 +399,8 @@ LowRuntime::dataF64(StoreId id)
     // Host readback/write-through: pull every shard-resident
     // rectangle into the canonical allocation, then treat the mutable
     // pointer as a host write (the canonical copy becomes the owner).
-    shards_.gatherToCanonical(id, r.data.data());
+    if (!overwrite)
+        shards_.gatherToCanonical(id, r.data.data());
     shards_.onHostWrite(id);
     return reinterpret_cast<double *>(r.data.data());
 }
@@ -385,16 +408,7 @@ LowRuntime::dataF64(StoreId id)
 std::int32_t *
 LowRuntime::dataI32(StoreId id)
 {
-    if (hostWriteObserver_)
-        hostWriteObserver_(id);
-    stream_.waitStore(id);
-    throwIfPoisoned(id);
-    StoreRec &r = rec(id);
-    if (r.dtype != DType::I32)
-        throw DiffuseError(makeError(
-            ErrorCode::InvalidArgument,
-            strprintf("store %llu is not i32", (unsigned long long)id),
-            std::string(), id));
+    StoreRec &r = hostRec(id, DType::I32);
     ensureAllocated(r);
     shards_.gatherToCanonical(id, r.data.data());
     shards_.onHostWrite(id);
@@ -404,16 +418,7 @@ LowRuntime::dataI32(StoreId id)
 std::int64_t *
 LowRuntime::dataI64(StoreId id)
 {
-    if (hostWriteObserver_)
-        hostWriteObserver_(id);
-    stream_.waitStore(id);
-    throwIfPoisoned(id);
-    StoreRec &r = rec(id);
-    if (r.dtype != DType::I64)
-        throw DiffuseError(makeError(
-            ErrorCode::InvalidArgument,
-            strprintf("store %llu is not i64", (unsigned long long)id),
-            std::string(), id));
+    StoreRec &r = hostRec(id, DType::I64);
     ensureAllocated(r);
     shards_.gatherToCanonical(id, r.data.data());
     shards_.onHostWrite(id);

@@ -320,6 +320,15 @@ class LowRuntime
     std::int64_t *dataI64(StoreId id);
 
     /**
+     * Mutable access for a host write of every element (Real mode).
+     * Fences, checks poison and hands ownership to the canonical copy
+     * like dataF64, but a fresh allocation skips the init fill and no
+     * shard rectangle is gathered. The allocation still happens here,
+     * so allocation faults and DIFFUSE_MEM_BUDGET surface as before.
+     */
+    double *overwriteF64(StoreId id);
+
+    /**
      * Mark a store's contents as freshly initialized everywhere
      * (host-side writes, excluded from timing like the paper's setup).
      */
@@ -549,6 +558,10 @@ class LowRuntime
 
     StoreRec &rec(StoreId id);
     const StoreRec &rec(StoreId id) const;
+    /** Host-access prologue: observer, fence, poison and dtype check. */
+    StoreRec &hostRec(StoreId id, DType want);
+    /** dataF64 / overwriteF64 (`overwrite`: skip init fill and gather). */
+    double *hostF64(StoreId id, bool overwrite);
 
     /**
      * Materialize the allocation of a store (Real mode). With

@@ -299,13 +299,12 @@ SparseContext::prolongation1d(coord_t n_fine, bool idx32)
         AnalyticCsr shape;
         shape.rows = n_fine;
         shape.cols = n_coarse;
-        // Even rows: 1 entry; odd rows: 2 (the final odd row may be
-        // clamped to 1, a negligible correction we fold in exactly).
+        // Even rows: 1 entry; odd rows: 2, except the last odd row
+        // (2*n_coarse - 1), clamped to 1 once the prefix includes it.
         auto nnz_up_to = [n_coarse](coord_t r) {
             coord_t even = (r + 1) / 2;
             coord_t odd = r / 2;
-            coord_t clamped =
-                (r >= 2 * n_coarse - 1 && n_coarse > 0) ? 1 : 0;
+            coord_t clamped = (r >= 2 * n_coarse && n_coarse > 0) ? 1 : 0;
             return even + 2 * odd - clamped;
         };
         shape.nnz = nnz_up_to(n_fine);

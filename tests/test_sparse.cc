@@ -342,6 +342,50 @@ TEST(Sparse, StructuredAssemblyMatchesReference)
     }
 }
 
+TEST(Sparse, SimulatedImagesMatchReal)
+{
+    // Simulated builders derive their images in closed form (there
+    // are no buffers to read them off); the cost model must see the
+    // row-pointer and nonzero tiles the Real assembly registers.
+    for (int gpus : {1, 3, 4, 8}) {
+        DiffuseOptions sim_opts = opts(true);
+        sim_opts.mode = rt::ExecutionMode::Simulated;
+        DiffuseRuntime real_rt(rt::MachineConfig::withGpus(gpus),
+                               opts(true));
+        DiffuseRuntime sim_rt(rt::MachineConfig::withGpus(gpus), sim_opts);
+        num::Context real_ctx(real_rt), sim_ctx(sim_rt);
+        sp::SparseContext real(real_ctx), sim(sim_ctx);
+        auto expectSame = [&](const sp::CsrMatrix &r,
+                              const sp::CsrMatrix &s) {
+            EXPECT_EQ(s.nnz(), r.nnz());
+            expectSameImage(sim_rt.low().image(s.rowptrImage()),
+                            real_rt.low().image(r.rowptrImage()),
+                            "rowptr image");
+            expectSameImage(sim_rt.low().image(s.nnzImage()),
+                            real_rt.low().image(r.nnzImage()),
+                            "nnz image");
+        };
+        SCOPED_TRACE(::testing::Message() << "gpus " << gpus);
+        for (coord_t nx = 1; nx <= 9; nx++) {
+            for (coord_t ny = 1; ny <= 9; ny++) {
+                SCOPED_TRACE(::testing::Message()
+                             << "poisson2d " << nx << "x" << ny);
+                expectSame(real.poisson2d(nx, ny), sim.poisson2d(nx, ny));
+            }
+        }
+        for (coord_t n : {1, 2, 3, 8, 17, 64}) {
+            SCOPED_TRACE(::testing::Message() << "tridiagonal " << n);
+            expectSame(real.tridiagonal(n, 2.5, -0.75),
+                       sim.tridiagonal(n, 2.5, -0.75));
+        }
+        for (coord_t n : {2, 3, 4, 7, 8, 10, 15, 16, 33}) {
+            SCOPED_TRACE(::testing::Message() << "n_fine " << n);
+            expectSame(real.injection1d(n), sim.injection1d(n));
+            expectSame(real.prolongation1d(n), sim.prolongation1d(n));
+        }
+    }
+}
+
 TEST(Sparse, SpmvBlocksFusionWithVectorUpdateOfX)
 {
     // x is written through a Tiling partition, then SpMV reads it

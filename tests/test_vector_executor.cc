@@ -11,9 +11,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <vector>
 
+#include "apps/apps.h"
 #include "kernel/compiler.h"
 #include "kernel/exec.h"
 #include "kernel/ir.h"
@@ -689,6 +691,317 @@ TEST(VectorExecutor, CsrMatchesOracle)
     ExecutablePlan plan = lowerPlan(fn);
     ex.run(fn, plan, makeBinds(vec), {});
     EXPECT_TRUE(bitEqual(vec, ref));
+}
+
+// ---------------------------------------------------------------------
+// In-place addressing (plan.h): contiguous Loads are read where they
+// lie and single-use producers write straight into their Store's
+// destination, under two hazard rules. Each case below checks the
+// plan's flags and matches the oracle bitwise; dropping either rule
+// fails at least one of them.
+// ---------------------------------------------------------------------
+
+/** A 1-D kernel over buffers of one shape class; `alias[i]` is buffer
+ * i's alias class. */
+KernelFunction
+makeAliasFn(const std::vector<int> &alias)
+{
+    KernelFunction fn;
+    fn.name = "in_place";
+    fn.numArgs = int(alias.size());
+    fn.buffers.resize(alias.size());
+    for (std::size_t i = 0; i < alias.size(); i++) {
+        fn.buffers[i].dims = 1;
+        fn.buffers[i].shapeClass = 0;
+        fn.buffers[i].aliasClass = alias[i];
+    }
+    return fn;
+}
+
+/** `n` contiguous elements of `alloc` from `off`. */
+BufferBinding
+view1d(std::vector<double> &alloc, coord_t off, coord_t n)
+{
+    BufferBinding b;
+    b.base = alloc.data() + off;
+    b.dims = 1;
+    b.extent[0] = n;
+    b.stride[0] = 1;
+    return b;
+}
+
+/** A rows x cols view of `alloc` from `off` with the given strides. */
+BufferBinding
+view2d(std::vector<double> &alloc, coord_t off, coord_t rows,
+       coord_t cols, coord_t row_stride, coord_t step)
+{
+    BufferBinding b;
+    b.base = alloc.data() + off;
+    b.dims = 2;
+    b.extent[0] = rows;
+    b.extent[1] = cols;
+    b.stride[0] = row_stride;
+    b.stride[1] = step;
+    return b;
+}
+
+using BindFn =
+    std::function<std::vector<BufferBinding>(std::vector<double> &)>;
+
+/**
+ * Run `fn` on the oracle and at every strip width, each over a fresh
+ * copy of `init` viewed through `bind` (views may overlap). The whole
+ * allocation must match bitwise.
+ */
+void
+expectAllocMatch(const KernelFunction &fn,
+                 const std::vector<double> &init, const BindFn &bind)
+{
+    Executor ex;
+    std::vector<double> want = init;
+    ex.runScalar(fn, bind(want), {});
+    for (int w : kStrips) {
+        std::vector<double> got = init;
+        ExecutablePlan plan = lowerPlan(fn, w);
+        ex.run(fn, plan, bind(got), {});
+        EXPECT_TRUE(bitEqual(got, want)) << "strip width " << w;
+    }
+}
+
+/** The (first) Load of buffer `buf`. */
+const VecInstr &
+loadOf(const DensePlan &dp, int buf)
+{
+    for (const VecInstr &ins : dp.tape) {
+        if (ins.op == VecOp::Load &&
+            dp.accesses[std::size_t(ins.access)].buf == buf)
+            return ins;
+    }
+    ADD_FAILURE() << "no load of buffer " << buf;
+    return dp.tape.front();
+}
+
+/** The instruction defining the value stored to buffer `buf`. */
+const VecInstr &
+producerOf(const DensePlan &dp, int buf)
+{
+    for (std::size_t j = 0; j < dp.tape.size(); j++) {
+        const VecInstr &st = dp.tape[j];
+        if (st.op != VecOp::Store ||
+            dp.accesses[std::size_t(st.access)].buf != buf)
+            continue;
+        // Slots are reused: the nearest earlier definition is it.
+        for (std::size_t i = j; i-- > 0;) {
+            if (dp.tape[i].dst == st.a)
+                return dp.tape[i];
+        }
+    }
+    ADD_FAILURE() << "no producer stored to buffer " << buf;
+    return dp.tape.front();
+}
+
+TEST(InPlace, LoadLiveAcrossStoreToItsBufferIsCopied)
+{
+    // x = 2x; out = x_old + 1. The load of x is read after the store
+    // to x, so it must be copied before the store lands.
+    KernelFunction fn = makeAliasFn({0, -1});
+    LoopNest nest;
+    nest.domainBuf = 0;
+    BodyBuilder b(nest.body);
+    int x = b.load(0);
+    b.store(0, b.binary(Op::Mul, x, b.constant(2.0)));
+    b.store(1, b.binary(Op::Add, x, b.constant(1.0)));
+    fn.nests.push_back(std::move(nest));
+
+    ExecutablePlan plan = lowerPlan(fn, 256);
+    const DensePlan &dp = plan.nests[0].dense;
+    EXPECT_FALSE(loadOf(dp, 0).inPlace);
+    EXPECT_FALSE(producerOf(dp, 0).inPlace); // its operand loads x
+    EXPECT_TRUE(producerOf(dp, 1).inPlace);
+
+    const coord_t n = 515;
+    std::vector<double> init(2 * n);
+    fill(init, 31);
+    expectAllocMatch(fn, init, [&](std::vector<double> &m) {
+        return std::vector<BufferBinding>{view1d(m, 0, n),
+                                          view1d(m, n, n)};
+    });
+}
+
+TEST(InPlace, LoadLiveAcrossStoreToAliasedViewIsCopied)
+{
+    // The same through a second buffer of x's alias class bound to
+    // the identical view: the hazard is the alias class, not the id.
+    KernelFunction fn = makeAliasFn({0, 0, -1});
+    LoopNest nest;
+    nest.domainBuf = 0;
+    BodyBuilder b(nest.body);
+    int x = b.load(0);
+    b.store(1, b.binary(Op::Mul, x, b.constant(2.0)));
+    b.store(2, b.binary(Op::Add, x, b.constant(1.0)));
+    fn.nests.push_back(std::move(nest));
+
+    ExecutablePlan plan = lowerPlan(fn, 256);
+    const DensePlan &dp = plan.nests[0].dense;
+    EXPECT_FALSE(loadOf(dp, 0).inPlace);
+    EXPECT_FALSE(producerOf(dp, 1).inPlace);
+    EXPECT_TRUE(producerOf(dp, 2).inPlace);
+
+    const coord_t n = 515;
+    std::vector<double> init(2 * n);
+    fill(init, 32);
+    expectAllocMatch(fn, init, [&](std::vector<double> &m) {
+        return std::vector<BufferBinding>{
+            view1d(m, 0, n), view1d(m, 0, n), view1d(m, n, n)};
+    });
+}
+
+TEST(InPlace, ReductionSourceStaysLiveUntilTheFold)
+{
+    // acc += sum(x_old) while the body stores x = 2x: the fold runs
+    // after the whole strip, so its source must not be read in place.
+    KernelFunction fn = makeAliasFn({0, -1});
+    fn.buffers[1].shapeClass = 1; // the accumulator
+    LoopNest nest;
+    nest.domainBuf = 0;
+    BodyBuilder b(nest.body);
+    int x = b.load(0);
+    b.store(0, b.binary(Op::Mul, x, b.constant(2.0)));
+    Reduction red;
+    red.accBuf = 1;
+    red.op = ReductionOp::Sum;
+    red.srcReg = x;
+    nest.reductions.push_back(red);
+    fn.nests.push_back(std::move(nest));
+
+    ExecutablePlan plan = lowerPlan(fn, 256);
+    EXPECT_FALSE(loadOf(plan.nests[0].dense, 0).inPlace);
+
+    const coord_t n = 515;
+    std::vector<double> init(n + 1);
+    fill(init, 33);
+    init[n] = 0.125;
+    expectAllocMatch(fn, init, [&](std::vector<double> &m) {
+        return std::vector<BufferBinding>{view1d(m, 0, n),
+                                          view1d(m, n, 1)};
+    });
+}
+
+TEST(InPlace, UpdateOfLoadedBufferKeepsProducerInRegisters)
+{
+    // x = 2x + y: both loads are dead before the store, so both are
+    // read in place; the triad reads x, so it must not write into x
+    // (its __restrict loops would overlap).
+    KernelFunction fn = makeAliasFn({0, -1});
+    LoopNest nest;
+    nest.domainBuf = 0;
+    BodyBuilder b(nest.body);
+    int x = b.load(0);
+    int y = b.load(1);
+    b.store(0, b.binary(Op::Add, b.binary(Op::Mul, b.constant(2.0), x),
+                        y));
+    fn.nests.push_back(std::move(nest));
+
+    ExecutablePlan plan = lowerPlan(fn, 256);
+    const DensePlan &dp = plan.nests[0].dense;
+    EXPECT_TRUE(loadOf(dp, 0).inPlace);
+    EXPECT_TRUE(loadOf(dp, 1).inPlace);
+    EXPECT_EQ(producerOf(dp, 0).op, VecOp::MulKAdd);
+    EXPECT_FALSE(producerOf(dp, 0).inPlace);
+
+    const coord_t n = 515;
+    std::vector<double> init(2 * n);
+    fill(init, 34);
+    expectAllocMatch(fn, init, [&](std::vector<double> &m) {
+        return std::vector<BufferBinding>{view1d(m, 0, n),
+                                          view1d(m, n, n)};
+    });
+}
+
+TEST(InPlace, StridedTransposedAndBroadcastOperandsCopy)
+{
+    // In-place flags on non-contiguous accesses fall back to copies:
+    // a transposed A, a broadcast column B, a row-major C, a strided
+    // store target S and a row-major store target R.
+    const coord_t rows = 7, cols = 37;
+    KernelFunction fn;
+    fn.name = "in_place_2d";
+    fn.numArgs = 5;
+    fn.buffers.resize(5);
+    for (auto &buf : fn.buffers) {
+        buf.dims = 2;
+        buf.shapeClass = 0;
+    }
+    fn.buffers[1].shapeClass = 1; // rows x 1
+    LoopNest nest;
+    nest.domainBuf = 4;
+    BodyBuilder b(nest.body);
+    int a = b.load(0);
+    int bc = b.load(1);
+    int c = b.load(2);
+    b.store(3, b.binary(Op::Add, b.binary(Op::Mul, a, bc), c));
+    b.store(4, b.binary(Op::Sub, a, b.binary(Op::Mul, bc, c)));
+    fn.nests.push_back(std::move(nest));
+
+    ExecutablePlan plan = lowerPlan(fn, 256);
+    const DensePlan &dp = plan.nests[0].dense;
+    for (int buf : {0, 1, 2})
+        EXPECT_TRUE(loadOf(dp, buf).inPlace) << "buffer " << buf;
+    EXPECT_TRUE(producerOf(dp, 3).inPlace);
+    EXPECT_TRUE(producerOf(dp, 4).inPlace);
+
+    const coord_t area = rows * cols;
+    const coord_t off_b = area, off_c = off_b + rows,
+                  off_s = off_c + area, off_r = off_s + 2 * area;
+    std::vector<double> init(off_r + area);
+    fill(init, 35);
+    expectAllocMatch(fn, init, [&](std::vector<double> &m) {
+        return std::vector<BufferBinding>{
+            view2d(m, 0, rows, cols, 1, rows),           // transposed
+            view2d(m, off_b, rows, 1, 1, 0),             // broadcast
+            view2d(m, off_c, rows, cols, cols, 1),       // row-major
+            view2d(m, off_s, rows, cols, 2 * cols, 2),   // strided
+            view2d(m, off_r, rows, cols, cols, 1)};      // row-major
+    });
+}
+
+TEST(InPlace, StencilFusedNestAddressesMemoryDirectly)
+{
+    // Paper Fig 1's fused ADD/MULT task: all five grid views are read
+    // in place and the scaled sum is written straight into its store.
+    DiffuseRuntime rt(rt::MachineConfig::withGpus(2), DiffuseOptions{});
+    num::Context ctx(rt);
+    apps::Stencil st(ctx, 40);
+    st.step();
+    rt.flushWindow();
+
+    int stencils = 0;
+    for (const auto &kernel : rt.context()->memo().kernels()) {
+        for (const NestPlan &np : kernel->plan->nests) {
+            const DensePlan &dp = np.dense;
+            int loads = 0, in_place = 0;
+            for (const VecInstr &ins : dp.tape) {
+                loads += ins.op == VecOp::Load;
+                in_place += ins.op == VecOp::Load && ins.inPlace;
+            }
+            if (np.kind != NestKind::Dense || loads != 5)
+                continue;
+            stencils++;
+            EXPECT_EQ(in_place, 5);
+            // The tape ends with the scaled sum's store (the window
+            // may also materialize the unscaled sum before it).
+            ASSERT_GE(dp.tape.size(), 2u);
+            const VecInstr &store = dp.tape.back();
+            const VecInstr &prod = dp.tape[dp.tape.size() - 2];
+            ASSERT_EQ(store.op, VecOp::Store);
+            EXPECT_EQ(prod.op, VecOp::MulK);
+            EXPECT_EQ(prod.dst, store.a);
+            EXPECT_TRUE(prod.inPlace);
+            EXPECT_EQ(prod.access, store.access);
+        }
+    }
+    // One per memo key the group was planned under (window sizes).
+    EXPECT_GE(stencils, 1);
 }
 
 TEST(Plan, LoweringHoistsInvariantsAndClassifiesAccesses)
